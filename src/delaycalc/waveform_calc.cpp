@@ -141,6 +141,11 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     bool nonfinite = false;
   };
 
+  // Input voltage at the BE step times. They move forward within a solve
+  // (back only for halving sub-steps and after the coupling drop), so a
+  // cursor replaces the per-attempt binary search.
+  util::PwlCursor vin_at(vin);
+
   // Backward-Euler implicit step solved by Newton on the table model. The
   // undamped (dv_clamp = 0.5) variant reproduces the historical fast path
   // bit-for-bit when it converges; exhausting max_iters now *reports*
@@ -152,7 +157,8 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     StepAttempt a;
     a.v = v_prev;
     if (inj.diverge) return a;
-    const double vg = vin.value_at(t_next);
+    const double vg = vin_at.value_at(t_next);
+    const double c_over_h = c_total / h;
     double v = v_prev;
     for (int it = 0; it < max_iters; ++it) {
       ++newton_iters;
@@ -162,7 +168,7 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
         return a;
       }
       const double g = c_total * (v - v_prev) / h - cur.i;
-      const double gp = c_total / h - cur.di_dv;
+      const double gp = c_over_h - cur.di_dv;
       double dv = -g / gp;
       if (!std::isfinite(dv)) {
         a.nonfinite = true;
@@ -188,7 +194,7 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
                                const Inject& inj) {
     StepAttempt a;
     a.v = v_prev;
-    const double vg = vin.value_at(t_next);
+    const double vg = vin_at.value_at(t_next);
     auto residual = [&](double v) {
       const auto cur = eval_currents(vg, v, inj.nan);
       return c_total * (v - v_prev) / h - cur.i;

@@ -88,36 +88,32 @@ CurrentDerivs DeviceTable::channel_current_derivs(double width, double vg,
   CurrentDerivs d;
   if (type_ == MosType::kNmos) {
     if (va >= vb) {
-      const double vgs = vg - vb, vds = va - vb;
-      const double fx = table_.d_dx(vgs, vds), fy = table_.d_dy(vgs, vds);
-      d.i = width * table_.lookup(vgs, vds);
-      d.d_vg = width * fx;
-      d.d_va = width * fy;
-      d.d_vb = -width * (fx + fy);
+      const util::Table2DGrad g = table_.lookup_grad(vg - vb, va - vb);
+      d.i = width * g.v;
+      d.d_vg = width * g.dx;
+      d.d_va = width * g.dy;
+      d.d_vb = -width * (g.dx + g.dy);
     } else {
-      const double vgs = vg - va, vds = vb - va;
-      const double fx = table_.d_dx(vgs, vds), fy = table_.d_dy(vgs, vds);
-      d.i = -width * table_.lookup(vgs, vds);
-      d.d_vg = -width * fx;
-      d.d_vb = -width * fy;
-      d.d_va = width * (fx + fy);
+      const util::Table2DGrad g = table_.lookup_grad(vg - va, vb - va);
+      d.i = -width * g.v;
+      d.d_vg = -width * g.dx;
+      d.d_vb = -width * g.dy;
+      d.d_va = width * (g.dx + g.dy);
     }
     return d;
   }
   if (va >= vb) {
-    const double vsg = va - vg, vsd = va - vb;
-    const double fx = table_.d_dx(vsg, vsd), fy = table_.d_dy(vsg, vsd);
-    d.i = width * table_.lookup(vsg, vsd);
-    d.d_vg = -width * fx;
-    d.d_va = width * (fx + fy);
-    d.d_vb = -width * fy;
+    const util::Table2DGrad g = table_.lookup_grad(va - vg, va - vb);
+    d.i = width * g.v;
+    d.d_vg = -width * g.dx;
+    d.d_va = width * (g.dx + g.dy);
+    d.d_vb = -width * g.dy;
   } else {
-    const double vsg = vb - vg, vsd = vb - va;
-    const double fx = table_.d_dx(vsg, vsd), fy = table_.d_dy(vsg, vsd);
-    d.i = -width * table_.lookup(vsg, vsd);
-    d.d_vg = width * fx;
-    d.d_vb = -width * (fx + fy);
-    d.d_va = width * fy;
+    const util::Table2DGrad g = table_.lookup_grad(vb - vg, vb - va);
+    d.i = -width * g.v;
+    d.d_vg = width * g.dx;
+    d.d_vb = -width * (g.dx + g.dy);
+    d.d_va = width * g.dy;
   }
   return d;
 }

@@ -90,10 +90,7 @@ double Pwl::value_at(double t) const {
   auto it = std::upper_bound(
       points_.begin(), points_.end(), t,
       [](double time, const PwlPoint& p) { return time < p.t; });
-  const PwlPoint& hi = *it;
-  const PwlPoint& lo = *(it - 1);
-  const double alpha = (t - lo.t) / (hi.t - lo.t);
-  return lo.v + alpha * (hi.v - lo.v);
+  return segment_value(*(it - 1), *it, t);
 }
 
 double Pwl::time_at_value(double v, bool rising) const {

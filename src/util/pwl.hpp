@@ -19,6 +19,12 @@ struct PwlPoint {
   double v = 0.0;
 };
 
+/// Linear interpolation on the segment [lo, hi] at time t (lo.t <= t < hi.t).
+inline double segment_value(const PwlPoint& lo, const PwlPoint& hi, double t) {
+  const double alpha = (t - lo.t) / (hi.t - lo.t);
+  return lo.v + alpha * (hi.v - lo.v);
+}
+
 /// A piecewise-linear function of time. Constant extrapolation outside the
 /// sampled range. Time points are strictly increasing.
 class Pwl {
@@ -72,6 +78,32 @@ class Pwl {
 
  private:
   std::vector<PwlPoint> points_;
+};
+
+/// Pwl::value_at for a query sequence that mostly moves forward in time,
+/// such as the steps of one backward-Euler solve: the cursor keeps the
+/// segment of the previous query and walks from it instead of
+/// binary-searching. It picks exactly the segment Pwl::value_at picks
+/// (the first point later than t), so the two agree bit for bit; earlier
+/// times walk back. The waveform must outlive the cursor and stay unchanged.
+class PwlCursor {
+ public:
+  explicit PwlCursor(const Pwl& w) : w_(&w) {}
+
+  double value_at(double t) {
+    const std::vector<PwlPoint>& p = w_->points();
+    // Outside the open sampled range (and NaN/Inf): constant extrapolation
+    // or the DiagError, exactly as Pwl::value_at.
+    if (!(t > p.front().t && t < p.back().t)) return w_->value_at(t);
+    while (p[k_].t <= t) ++k_;
+    while (p[k_ - 1].t > t) --k_;
+    return segment_value(p[k_ - 1], p[k_], t);
+  }
+
+ private:
+  const Pwl* w_;
+  /// Upper end of the last segment used: p[k_-1].t <= t < p[k_].t.
+  std::size_t k_ = 1;
 };
 
 }  // namespace xtalk::util

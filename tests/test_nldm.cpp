@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/crosstalk_sta.hpp"
 #include "netlist/embedded_benchmarks.hpp"
 
@@ -142,12 +145,21 @@ TEST(NldmEngine, MuchCheaperPerArc) {
   nopt.mode = sta::AnalysisMode::kBestCase;
   sta::StaOptions topt;
   topt.mode = sta::AnalysisMode::kBestCase;
-  const auto rn = sta::run_sta(d.view(), nopt);
-  const auto rt = sta::run_sta(d.view(), topt);
-  EXPECT_EQ(rn.waveform_calculations, rt.waveform_calculations);
   // Same work units, far less time (not asserted hard on a noisy CI box,
-  // but it must not be slower).
-  EXPECT_LE(rn.runtime_seconds, rt.runtime_seconds * 1.5);
+  // but it must not be slower). One ~1 ms s27 run is at the mercy of the
+  // scheduler under a parallel ctest, so each model keeps the fastest of
+  // several interleaved runs: load can only add time to a run.
+  constexpr int kRuns = 7;
+  double nldm_s = std::numeric_limits<double>::infinity();
+  double transistor_s = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < kRuns; ++k) {
+    const auto rn = sta::run_sta(d.view(), nopt);
+    const auto rt = sta::run_sta(d.view(), topt);
+    EXPECT_EQ(rn.waveform_calculations, rt.waveform_calculations);
+    nldm_s = std::min(nldm_s, rn.runtime_seconds);
+    transistor_s = std::min(transistor_s, rt.runtime_seconds);
+  }
+  EXPECT_LE(nldm_s, transistor_s * 1.5);
 }
 
 }  // namespace

@@ -71,6 +71,14 @@ struct ArcParam {
   double cc;
 };
 
+// Without this, gtest prints the raw bytes of the struct, pointer included,
+// and gtest_discover_tests puts them in the test name: the name would change
+// with the load address on every discovery run.
+void PrintTo(const ArcParam& p, std::ostream* os) {
+  *os << p.cell << " load=" << p.load * 1e15 << "fF slew=" << p.slew * 1e12
+      << "ps cc=" << p.cc * 1e15 << "fF";
+}
+
 class ArcWaveformProperty : public ::testing::TestWithParam<ArcParam> {};
 
 TEST_P(ArcWaveformProperty, Invariants) {

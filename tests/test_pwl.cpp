@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/diag.hpp"
 
@@ -164,6 +168,105 @@ TEST(Pwl, RejectsNonFiniteQueryInputs) {
   } catch (const DiagError& err) {
     EXPECT_EQ(err.diagnostic().code, DiagCode::kNonFiniteValue);
   }
+}
+
+/// An irregularly sampled, non-monotone waveform like a propagated one.
+Pwl irregular_waveform() {
+  std::vector<PwlPoint> pts;
+  double t = 0.25e-9;
+  for (int i = 0; i < 40; ++i) {
+    pts.push_back({t, std::sin(0.37 * i) + 0.01 * i});
+    t += 1e-12 * (1.0 + (i * 7919) % 13);
+  }
+  return Pwl(std::move(pts));
+}
+
+/// Queries `times` through one cursor and checks each against value_at.
+void expect_cursor_matches(const Pwl& w, const std::vector<double>& times) {
+  PwlCursor cursor(w);
+  for (const double t : times) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cursor.value_at(t)),
+              std::bit_cast<std::uint64_t>(w.value_at(t)))
+        << "t=" << t;
+  }
+}
+
+TEST(PwlCursor, ForwardRepeatedAndBreakpointQueriesMatchValueAt) {
+  const Pwl w = irregular_waveform();
+  std::vector<double> times;
+  for (const PwlPoint& p : w.points()) {
+    times.push_back(p.t);                  // exactly on a breakpoint
+    times.push_back(p.t);                  // repeated (Newton retry)
+    times.push_back(std::nextafter(p.t, 1.0));
+    times.push_back(p.t + 0.3e-12);        // inside a segment
+  }
+  expect_cursor_matches(w, times);
+}
+
+TEST(PwlCursor, BackwardAndJumpingQueriesMatchValueAt) {
+  const Pwl w = irregular_waveform();
+  const double t0 = w.front().t, t1 = w.back().t;
+  std::vector<double> times;
+  for (double t = t1; t > t0; t -= 0.77e-12) times.push_back(t);  // backward
+  for (int i = 0; i < 200; ++i) {  // scattered in both directions
+    times.push_back(t0 + (t1 - t0) * ((i * 37) % 101) / 100.0);
+  }
+  expect_cursor_matches(w, times);
+}
+
+TEST(PwlCursor, OutsideTheSampledRangeMatchesValueAt) {
+  const Pwl w = irregular_waveform();
+  const double t0 = w.front().t, t1 = w.back().t;
+  expect_cursor_matches(w, {-1.0, t0 - 1e-12, t0, std::nextafter(t0, 1.0),
+                            0.5 * (t0 + t1), std::nextafter(t1, 0.0), t1,
+                            t1 + 1e-12, 1.0, t0 + 1e-13, -1.0});
+  expect_cursor_matches(Pwl::constant(0.7), {-1.0, 0.0, 2.0});
+  expect_cursor_matches(Pwl::ramp(1.0, 0.0, 2.0, 3.3),
+                        {0.5, 1.0, 1.5, 1.5, 2.0, 1.25, 3.0});
+}
+
+TEST(PwlCursor, StepHalvingSubStepPatternMatchesValueAt) {
+  // The BE solver's access pattern: forward steps of growing size, each
+  // attempted more than once; a failed step re-walks [t, t + h] in 2^k
+  // sub-steps (earlier times); after a coupling drop time restarts just
+  // after the crossing, before the last step's end.
+  const Pwl w = irregular_waveform();
+  std::vector<double> times;
+  double t = w.front().t;
+  double h = 1e-12;
+  for (int step = 0; t < w.back().t + 5e-12; ++step) {
+    const double t_next = t + h;
+    times.push_back(t_next);
+    times.push_back(t_next);
+    if (step % 5 == 2) {
+      for (int k = 1; k <= 4; ++k) {
+        const int n_sub = 1 << k;
+        const double hs = h / n_sub;
+        for (int sub = 1; sub <= n_sub; ++sub) {
+          times.push_back(t_next - h + hs * sub);
+        }
+      }
+    }
+    if (step % 11 == 6) {  // coupling drop: next t_next lies before this one
+      t += 0.4 * h + 1e-15;
+      h /= 4.0;
+    } else {
+      t = t_next;
+      h = std::min(h * 1.3, 3e-12);
+    }
+  }
+  expect_cursor_matches(w, times);
+}
+
+TEST(PwlCursor, NonFiniteQueryThrowsLikeValueAt) {
+  const Pwl w = irregular_waveform();
+  PwlCursor cursor(w);
+  EXPECT_THROW(cursor.value_at(std::numeric_limits<double>::quiet_NaN()),
+               DiagError);
+  EXPECT_THROW(cursor.value_at(std::numeric_limits<double>::infinity()),
+               DiagError);
+  EXPECT_THROW(cursor.value_at(-std::numeric_limits<double>::infinity()),
+               DiagError);
 }
 
 }  // namespace
