@@ -37,9 +37,9 @@ inline constexpr std::uint16_t kSnapKindBaselines = 2;   ///< memoized RunSpecs
 inline constexpr std::uint16_t kSnapKindDesign = 3;      ///< design recipe
 /// v2: RunSpec gained the MCMM scenario identity (name, vdd_scale,
 /// temperature, coupling derate), changing the encoded baseline/WAL-open
-/// payloads. v1 state files load as kVersionSkew and the server starts
-/// cold — never a half-decoded spec.
-inline constexpr std::uint16_t kSnapVersion = 2;
+/// payloads. v3: RunSpec lost the scheduler byte. Older state files load as
+/// kVersionSkew and the server starts cold — never a half-decoded spec.
+inline constexpr std::uint16_t kSnapVersion = 3;
 
 class DesignSession {
  public:

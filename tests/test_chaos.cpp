@@ -237,6 +237,19 @@ TEST(ChaosClient, VersionMismatchIsATypedError) {
   ASSERT_TRUE(err.decode(r2));
   EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
 
+  // A v4 client still encodes the scheduler byte in every RunSpec that v5
+  // dropped: it must be turned away at hello, before any RunSpec decodes.
+  util::WireWriter v4;
+  HelloMsg v4_hello;
+  v4_hello.protocol_version = 4;
+  v4_hello.encode(v4);
+  client.send_frame(MsgType::kHello, 9, v4);
+  reply = client.recv_frame();
+  ASSERT_EQ(reply.type, MsgType::kError);
+  util::WireReader r3 = reply.body(client.limits());
+  ASSERT_TRUE(err.decode(r3));
+  EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
+
   // The negotiated path round-trips.
   const HelloOkMsg ok = client.hello();
   EXPECT_EQ(ok.protocol_version, kProtocolVersion);
