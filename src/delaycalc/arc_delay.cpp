@@ -27,13 +27,14 @@ const CollapsedStage& ArcScratch::collapsed(
   return it->second;
 }
 
-std::vector<ArcResult> ArcDelayCalculator::compute(
+template <typename Result, typename LastHop>
+std::vector<Result> ArcDelayCalculator::solve_paths(
     const netlist::Cell& cell, std::size_t input_pin, bool input_rising,
     const util::Pwl& input_waveform, const OutputLoad& load,
     const IntegrationOptions& options, ArcScratch* scratch,
-    const util::DiagHandle* diag) const {
+    const util::DiagHandle* diag, LastHop last_hop) const {
   const device::Technology& tech = tables_->tech();
-  std::vector<ArcResult> results;
+  std::vector<Result> results;
 
   std::vector<StagePath> local_paths;
   const std::vector<StagePath>* paths;
@@ -47,11 +48,7 @@ std::vector<ArcResult> ArcDelayCalculator::compute(
   for (const StagePath& path : *paths) {
     util::Pwl wave = input_waveform;
     bool dir = input_rising;
-    bool degraded = false;
-    std::uint64_t be_steps = 0;
-    std::uint64_t newton_iters = 0;
-    std::uint64_t fallback_steps = 0;
-    WaveformResult wr;
+    Result r;
     for (std::size_t hop_idx = 0; hop_idx < path.hops.size(); ++hop_idx) {
       const StagePath::Hop& hop = path.hops[hop_idx];
       const netlist::Stage& stage = cell.stages()[hop.stage];
@@ -88,26 +85,65 @@ std::vector<ArcResult> ArcDelayCalculator::compute(
           swinging_internal_cap(stage, hop.input, drive.output_rising, tech) +
           swinging_internal_cap(stage, hop.input, !drive.output_rising, tech);
 
-      wr = solve_stage_waveform(*tables_, drive, stage_load, options, diag);
-      wave = wr.waveform;
-      degraded = degraded || wr.degraded;
-      be_steps += wr.be_steps;
-      newton_iters += wr.newton_iters;
-      fallback_steps += static_cast<std::uint64_t>(wr.fallback_steps);
+      if (last) {
+        r.output_rising = drive.output_rising;
+        last_hop(drive, stage_load, r);
+        break;
+      }
+      WaveformResult wr =
+          solve_stage_waveform(*tables_, drive, stage_load, options, diag);
+      wave = std::move(wr.waveform);
+      r.degraded = r.degraded || wr.degraded;
+      r.be_steps += wr.be_steps;
+      r.newton_iters += wr.newton_iters;
+      r.fallback_steps += static_cast<std::uint64_t>(wr.fallback_steps);
       dir = !dir;
     }
-    ArcResult r;
-    r.output_rising = dir;
-    r.waveform = std::move(wave);
-    r.settle_time = wr.settle_time;
-    r.coupled = wr.coupled;
-    r.degraded = degraded;
-    r.be_steps = be_steps;
-    r.newton_iters = newton_iters;
-    r.fallback_steps = fallback_steps;
     results.push_back(std::move(r));
   }
   return results;
+}
+
+std::vector<ArcResult> ArcDelayCalculator::compute(
+    const netlist::Cell& cell, std::size_t input_pin, bool input_rising,
+    const util::Pwl& input_waveform, const OutputLoad& load,
+    const IntegrationOptions& options, ArcScratch* scratch,
+    const util::DiagHandle* diag) const {
+  return solve_paths<ArcResult>(
+      cell, input_pin, input_rising, input_waveform, load, options, scratch,
+      diag,
+      [&](const StageDrive& drive, const OutputLoad& stage_load,
+          ArcResult& r) {
+        WaveformResult wr =
+            solve_stage_waveform(*tables_, drive, stage_load, options, diag);
+        r.waveform = std::move(wr.waveform);
+        r.settle_time = wr.settle_time;
+        r.coupled = wr.coupled;
+        r.degraded = r.degraded || wr.degraded;
+        r.be_steps += wr.be_steps;
+        r.newton_iters += wr.newton_iters;
+        r.fallback_steps += static_cast<std::uint64_t>(wr.fallback_steps);
+      });
+}
+
+std::vector<ArcStart> ArcDelayCalculator::starts(
+    const netlist::Cell& cell, std::size_t input_pin, bool input_rising,
+    const util::Pwl& input_waveform, const OutputLoad& load,
+    const IntegrationOptions& options, ArcScratch* scratch,
+    const util::DiagHandle* diag) const {
+  return solve_paths<ArcStart>(
+      cell, input_pin, input_rising, input_waveform, load, options, scratch,
+      diag,
+      [&](const StageDrive& drive, const OutputLoad& stage_load,
+          ArcStart& r) {
+        const StageStart st =
+            solve_stage_start(*tables_, drive, stage_load, options, diag);
+        r.t_start = st.t_start;
+        r.degraded = r.degraded || st.degraded;
+        r.be_steps += st.be_steps;
+        r.newton_iters += st.newton_iters;
+        r.fallback_steps += static_cast<std::uint64_t>(st.fallback_steps);
+      });
 }
 
 }  // namespace xtalk::delaycalc

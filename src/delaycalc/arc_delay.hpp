@@ -30,6 +30,18 @@ struct ArcResult {
   std::uint64_t fallback_steps = 0;
 };
 
+/// Where one stage path's output first reaches the model threshold: bitwise
+/// the `waveform.front().t` and `degraded` of the matching compute() result
+/// (see solve_stage_start for the one exception), and never a waveform.
+struct ArcStart {
+  bool output_rising = true;
+  double t_start = 0.0;
+  bool degraded = false;
+  std::uint64_t be_steps = 0;
+  std::uint64_t newton_iters = 0;
+  std::uint64_t fallback_steps = 0;
+};
+
 /// Reusable per-thread scratch for arc evaluation. Path enumeration and
 /// stage collapse are pure functions of the cell structure (and the fixed
 /// device tables), so they are memoized here instead of being re-derived —
@@ -76,7 +88,32 @@ class ArcDelayCalculator {
                                  ArcScratch* scratch = nullptr,
                                  const util::DiagHandle* diag = nullptr) const;
 
+  /// The threshold crossings of compute()'s results, one per stage path:
+  /// the last hop stops once its crossing is final (solve_stage_start), so
+  /// a caller that needs only the start time pays for the prefix of the
+  /// output transition. Same arguments and contracts as compute().
+  std::vector<ArcStart> starts(const netlist::Cell& cell,
+                               std::size_t input_pin, bool input_rising,
+                               const util::Pwl& input_waveform,
+                               const OutputLoad& load,
+                               const IntegrationOptions& options = {},
+                               ArcScratch* scratch = nullptr,
+                               const util::DiagHandle* diag = nullptr) const;
+
  private:
+  /// The hop chain shared by compute() and starts(): solves every stage
+  /// path, calling `last_hop(drive, load, result)` for the output stage,
+  /// which fills the per-path result.
+  template <typename Result, typename LastHop>
+  std::vector<Result> solve_paths(const netlist::Cell& cell,
+                                  std::size_t input_pin, bool input_rising,
+                                  const util::Pwl& input_waveform,
+                                  const OutputLoad& load,
+                                  const IntegrationOptions& options,
+                                  ArcScratch* scratch,
+                                  const util::DiagHandle* diag,
+                                  LastHop last_hop) const;
+
   const device::DeviceTableSet* tables_;
 };
 

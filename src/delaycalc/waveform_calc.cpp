@@ -12,15 +12,18 @@ namespace xtalk::delaycalc {
 
 namespace {
 
-/// Earliest time >= t_min at which the waveform is at or past level `v` in
-/// the given direction (at-or-above for rising, at-or-below for falling).
+/// `value` is at or past level `v` in the given direction (at-or-above for
+/// rising, at-or-below for falling).
+bool at_or_past(double value, double v, bool rising) {
+  return rising ? value >= v - 1e-12 : value <= v + 1e-12;
+}
+
+/// Earliest time >= t_min at which the waveform is at or past level `v`.
 /// Handles waveforms that restart exactly at `v` (the post-drop state of
 /// the coupling model). Returns +inf if the level is never reached.
 double first_reach_after(const util::Pwl& w, double v, bool rising,
                          double t_min) {
-  auto satisfied = [&](double value) {
-    return rising ? value >= v - 1e-12 : value <= v + 1e-12;
-  };
+  auto satisfied = [&](double value) { return at_or_past(value, v, rising); };
   const auto& pts = w.points();
   util::PwlPoint prev = pts.front();
   if (prev.t >= t_min && satisfied(prev.v)) return prev.t;
@@ -46,18 +49,20 @@ double first_reach_after(const util::Pwl& w, double v, bool rising,
   return std::numeric_limits<double>::infinity();
 }
 
-}  // namespace
-
-WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
-                                    const StageDrive& drive,
-                                    const OutputLoad& load,
-                                    const IntegrationOptions& opt,
-                                    const util::DiagHandle* diag) {
+/// The one BE integration behind solve_stage_waveform and
+/// solve_stage_start. With `start` set, the loop may stop at the frozen
+/// threshold crossing (see solve_stage_start); the returned result then
+/// carries no waveform. Either way `*start` receives the crossing.
+WaveformResult integrate(const device::DeviceTableSet& tables,
+                         const StageDrive& drive, const OutputLoad& load,
+                         const IntegrationOptions& opt,
+                         const util::DiagHandle* diag, StageStart* start) {
   const device::Technology& tech = tables.tech();
   const double vdd = tech.vdd;
   const double vth = tech.model_vth;
   const bool rising = drive.output_rising;
   const util::Pwl& vin = *drive.vin;
+  const double threshold = rising ? vth : vdd - vth;
 
   const double c_total = load.c_passive + load.c_active;
   if (c_total <= 0.0) {
@@ -350,6 +355,10 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     return rising ? voltage >= vdd - opt.settle_band
                   : voltage <= opt.settle_band;
   };
+  // Without active coupling no drop can move the clip point, so the
+  // crossing is final once it is frozen in `raw` (solve_stage_start).
+  const bool may_stop = start != nullptr && load.c_active <= 0.0;
+  bool stopped = false;
 
   std::size_t steps = 0;
   for (;; ++steps) {
@@ -389,6 +398,14 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     t = t_next;
     v = v_next;
     raw.append(t, v);
+    // Only the last point can still merge away: once the point before it
+    // has reached the threshold, first_reach_after's answer is fixed. A
+    // fallback step forces the full solve (the degrade shift needs it).
+    if (may_stop && fallback_steps == 0 &&
+        at_or_past(raw.points()[raw.size() - 2].v, threshold, rising)) {
+      stopped = true;
+      break;
+    }
     h = std::clamp(h * std::clamp(opt.v_step_target / std::max(dv, 1e-6),
                                   0.5, 2.0),
                    opt.h_min, opt.h_max);
@@ -418,7 +435,6 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
   // Clip: the propagated waveform starts at the model threshold, taken at
   // or after the coupling drop (paper: "the waveforms start with the value
   // of Vth"; the pre-drop glitch is discarded).
-  const double threshold = rising ? vth : vdd - vth;
   const double t_min = result.coupled ? result.drop_time : -1e300;
   double t_start = first_reach_after(raw, threshold, rising, t_min);
   if (!std::isfinite(t_start)) {
@@ -426,6 +442,11 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
         make_diag(util::DiagCode::kThresholdNotCrossed,
                   util::Severity::kError,
                   "output waveform never crossed the model threshold"));
+  }
+  if (stopped) {
+    *start = StageStart{t_start, false, 0, result.be_steps,
+                        result.newton_iters};
+    return result;
   }
   util::Pwl out;
   out.append(t_start, threshold);
@@ -455,7 +476,31 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     result.settle_time += margin;
     if (result.coupled) result.drop_time += margin;
   }
+  if (start != nullptr) {
+    *start = StageStart{result.waveform.front().t, result.degraded,
+                        result.fallback_steps, result.be_steps,
+                        result.newton_iters};
+  }
   return result;
+}
+
+}  // namespace
+
+WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
+                                    const StageDrive& drive,
+                                    const OutputLoad& load,
+                                    const IntegrationOptions& options,
+                                    const util::DiagHandle* diag) {
+  return integrate(tables, drive, load, options, diag, nullptr);
+}
+
+StageStart solve_stage_start(const device::DeviceTableSet& tables,
+                             const StageDrive& drive, const OutputLoad& load,
+                             const IntegrationOptions& options,
+                             const util::DiagHandle* diag) {
+  StageStart start;
+  integrate(tables, drive, load, options, diag, &start);
+  return start;
 }
 
 }  // namespace xtalk::delaycalc

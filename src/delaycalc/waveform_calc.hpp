@@ -89,4 +89,32 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
                                     const IntegrationOptions& options = {},
                                     const util::DiagHandle* diag = nullptr);
 
+/// Where the stage output first reaches the model threshold: bitwise the
+/// `waveform.front().t` and `degraded` of the matching solve_stage_waveform
+/// call, without integrating the rest of the transition.
+struct StageStart {
+  double t_start = 0.0;
+  bool degraded = false;
+  int fallback_steps = 0;
+  std::uint64_t be_steps = 0;
+  std::uint64_t newton_iters = 0;
+};
+
+/// solve_stage_waveform, stopped as soon as its threshold crossing is
+/// final. The BE loop is the same; it exits early only when three things
+/// hold: the load has no active coupling (no drop can move the clip point
+/// later), no fallback step has fired (the degrade shift needs the settle
+/// time of the full transition), and the first raw point at or past the
+/// threshold is no longer the last one. Pwl::append merges only its last
+/// point, so from then on the crossing is frozen bit for bit. Otherwise the
+/// solve runs to the settle band exactly as solve_stage_waveform does.
+///
+/// The one difference: a fallback step or solver fault that the full solve
+/// would hit *after* the crossing is never reached, so such a crossing is
+/// reported undegraded, from the exact clean prefix.
+StageStart solve_stage_start(const device::DeviceTableSet& tables,
+                             const StageDrive& drive, const OutputLoad& load,
+                             const IntegrationOptions& options = {},
+                             const util::DiagHandle* diag = nullptr);
+
 }  // namespace xtalk::delaycalc

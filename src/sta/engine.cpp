@@ -169,11 +169,30 @@ util::DiagHandle StaEngine::gate_diag(netlist::GateId gate, netlist::NetId out,
   return dh;
 }
 
+void StaEngine::record_solver_work(std::size_t thread_id,
+                                   std::uint64_t be_steps,
+                                   std::uint64_t newton_iters,
+                                   std::uint64_t fallback_steps,
+                                   bool degraded) {
+  if (degraded) scratch_[thread_id].saw_degraded = true;
+  if (metrics_ == nullptr) return;
+  // Pure bookkeeping of counters the solver maintained anyway — per-thread
+  // shards, so no contention and bitwise thread-count-invariant totals.
+  metrics_->add(thread_id, EngineCounter::kBeSteps, be_steps);
+  metrics_->add(thread_id, EngineCounter::kNewtonIterations, newton_iters);
+  if (fallback_steps > 0) {
+    metrics_->add(thread_id, EngineCounter::kFallbackBeSteps, fallback_steps);
+  }
+  if (degraded) metrics_->add(thread_id, EngineCounter::kDegradedArcs);
+  metrics_->observe(thread_id, EngineHistogram::kFallbackDepth,
+                    fallback_steps);
+}
+
 std::vector<delaycalc::ArcResult> StaEngine::compute_arc(
     const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
     const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
-    std::size_t thread_id, const util::DiagHandle& diag) {
-  waveform_calcs_.fetch_add(1, std::memory_order_relaxed);
+    std::size_t thread_id, const util::DiagHandle& diag, bool new_calc) {
+  if (new_calc) waveform_calcs_.fetch_add(1, std::memory_order_relaxed);
   DelayScratch& scratch = scratch_[thread_id];
   std::vector<delaycalc::ArcResult> results;
   if (nldm_ != nullptr) {
@@ -193,25 +212,41 @@ std::vector<delaycalc::ArcResult> StaEngine::compute_arc(
                           thread_id, diag);
     }
   }
-  if (metrics_ != nullptr) {
-    // Pure bookkeeping of counters the solver maintained anyway — per-thread
-    // shards, so no contention and bitwise thread-count-invariant totals.
-    for (const delaycalc::ArcResult& r : results) {
-      metrics_->add(thread_id, EngineCounter::kBeSteps, r.be_steps);
-      metrics_->add(thread_id, EngineCounter::kNewtonIterations,
-                    r.newton_iters);
-      if (r.fallback_steps > 0) {
-        metrics_->add(thread_id, EngineCounter::kFallbackBeSteps,
-                      r.fallback_steps);
-      }
-      if (r.degraded) {
-        metrics_->add(thread_id, EngineCounter::kDegradedArcs);
-      }
-      metrics_->observe(thread_id, EngineHistogram::kFallbackDepth,
-                        r.fallback_steps);
-    }
+  for (const delaycalc::ArcResult& r : results) {
+    record_solver_work(thread_id, r.be_steps, r.newton_iters,
+                       r.fallback_steps, r.degraded);
   }
   return results;
+}
+
+std::vector<delaycalc::ArcStart> StaEngine::compute_starts(
+    const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
+    const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
+    std::size_t thread_id, const util::DiagHandle& diag) {
+  waveform_calcs_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<delaycalc::ArcStart> starts;
+  try {
+    starts = calculator_.starts(cell, pin, in_rising, input_waveform, load,
+                                options_.integration, &scratch_[thread_id].arc,
+                                &diag);
+  } catch (const util::DiagError& err) {
+    if (!diag.degrade()) throw;
+    // The same substitution compute_arc makes, read at its start.
+    if (diag.sink != nullptr) diag.sink->report(err.diagnostic());
+    for (const delaycalc::ArcResult& r : bound_arc(
+             cell, pin, in_rising, input_waveform, load, thread_id, diag)) {
+      delaycalc::ArcStart s;
+      s.output_rising = r.output_rising;
+      s.t_start = r.waveform.front().t;
+      s.degraded = r.degraded;
+      starts.push_back(s);
+    }
+  }
+  for (const delaycalc::ArcStart& s : starts) {
+    record_solver_work(thread_id, s.be_steps, s.newton_iters,
+                       s.fallback_steps, s.degraded);
+  }
+  return starts;
 }
 
 std::vector<delaycalc::ArcResult> StaEngine::bound_arc(
@@ -394,6 +429,13 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
   const double cc_sum = options_.coupling_derate *
                         design_.parasitics->net(out).total_coupling_cap();
   const util::DiagHandle dh = gate_diag(gate_id, out, config);
+  GateLog* log =
+      config.gate_log != nullptr ? &(*config.gate_log)[gate_id] : nullptr;
+  if (log != nullptr) {
+    log->clean = false;  // until the evaluation completes
+    log->classes.clear();
+  }
+  scratch_[thread_id].saw_degraded = false;
 
   auto merge = [&](const delaycalc::ArcResult& r, const EventOrigin& origin,
                    bool input_degraded) {
@@ -459,19 +501,38 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
           // Best-case run: all adjacent wires quiet, caps grounded
           // unchanged. Its Vth crossing is the earliest possible victim
           // activity (lower time bound of the current waveform, §5.1).
-          const auto bcs = compute_arc(cell, p, in_rising, in_wave,
-                                       {base + cc_sum, 0.0}, thread_id, dh);
+          // Where the net has coupling neighbours, only that crossing and
+          // the degraded flag are read, so the solve stops at the crossing
+          // (compute_starts) and the rare all-grounded classification
+          // completes it below. A net without neighbours merges the
+          // best-case waveform itself; a run with a fault injector, which
+          // counts BE steps, keeps the full solve too.
+          const delaycalc::OutputLoad best_load{base + cc_sum, 0.0};
+          std::vector<delaycalc::ArcResult> bcs;
+          std::vector<delaycalc::ArcStart> bcs_starts;
+          if (cc_sum > 0.0 && nldm_ == nullptr &&
+              options_.fault_injector == nullptr) {
+            bcs_starts = compute_starts(cell, p, in_rising, in_wave,
+                                        best_load, thread_id, dh);
+          } else {
+            bcs = compute_arc(cell, p, in_rising, in_wave, best_load,
+                              thread_id, dh);
+            for (const delaycalc::ArcResult& r : bcs) {
+              bcs_starts.push_back(
+                  {r.output_rising, r.waveform.front().t, r.degraded});
+            }
+          }
           bool bcs_degraded = false;
-          for (const delaycalc::ArcResult& r : bcs) {
-            bcs_degraded = bcs_degraded || r.degraded;
+          for (const delaycalc::ArcStart& s : bcs_starts) {
+            bcs_degraded = bcs_degraded || s.degraded;
           }
           for (const bool out_rising : {true, false}) {
             double t_bcs = std::numeric_limits<double>::infinity();
             bool present = false;
-            for (const delaycalc::ArcResult& r : bcs) {
-              if (r.output_rising != out_rising) continue;
+            for (const delaycalc::ArcStart& s : bcs_starts) {
+              if (s.output_rising != out_rising) continue;
               present = true;
-              t_bcs = std::min(t_bcs, r.waveform.front().t);
+              t_bcs = std::min(t_bcs, s.t_start);
             }
             if (!present) continue;
             const double inf = std::numeric_limits<double>::infinity();
@@ -487,9 +548,19 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
               metrics_->add(thread_id,
                             EngineCounter::kCouplingClassifications);
             }
+            if (!bcs_degraded && log != nullptr) {
+              log->classes.push_back(
+                  {out_rising, t_bcs, load.c_passive, load.c_active});
+            }
             if (load.c_active <= 0.0) {
               // No neighbour can couple: the best-case run *is* the
               // worst-case run (loads identical); skip the second calc.
+              // A stopped best-case solve is completed here: the same
+              // calc, so it is not counted again.
+              if (bcs.empty()) {
+                bcs = compute_arc(cell, p, in_rising, in_wave, best_load,
+                                  thread_id, dh, /*new_calc=*/false);
+              }
               for (const delaycalc::ArcResult& r : bcs) {
                 if (r.output_rising == out_rising) merge(r, origin, false);
               }
@@ -541,6 +612,7 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
     }
   }
   timing[out].calculated = true;
+  if (log != nullptr) log->clean = !scratch_[thread_id].saw_degraded;
   if (metrics_ != nullptr) {
     metrics_->add(thread_id, EngineCounter::kGatesEvaluated);
   }
@@ -687,57 +759,24 @@ double StaEngine::run_pass(const PassConfig& config,
     process_gate(g, config, timing, thread_id);
   };
 
-  // The per-gate work item: esperance skip / incremental reuse / full
-  // evaluation.
+  // The per-gate work item: esperance skip / copy when the inputs are
+  // unchanged / full evaluation, then the value-dirty flags its consumers
+  // read.
   auto task = [&](netlist::GateId g, std::size_t thread_id) {
-    if (config.active_gates != nullptr && !(*config.active_gates)[g]) {
-      // Esperance: keep the basis pass's (conservative) result. In a
-      // replayed pass the baseline did the same copy (the esperance
-      // mask is part of the pass signature), so this net differs
-      // from the baseline record exactly where the basis differed.
-      const netlist::Gate& gate = nl.gate(g);
-      const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-      timing[out] = (*config.previous_timing)[out];
-      timing[out].calculated = true;
-      if (config.value_dirty != nullptr) {
-        (*config.value_dirty)[out] =
-            config.basis_dirty != nullptr ? (*config.basis_dirty)[out] : 1;
-      }
-      return;
-    }
-    if (config.reuse_timing != nullptr) {
-      const netlist::Gate& gate = nl.gate(g);
-      const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-      if (gate_reusable(g, config)) {
-        // Incremental reuse: every input of this gate's evaluation —
-        // fanin events, neighbour quiet times, quiet-time basis,
-        // early activity, levels, parasitics, the cell itself — is
-        // bitwise unchanged from the baseline pass, so the cached
-        // output *is* what process_gate would recompute. That
-        // includes its diagnostics: re-emit the baseline's entries
-        // so the incremental report matches a from-scratch run.
-        timing[out] = (*config.reuse_timing)[out];
-        timing[out].calculated = true;
-        (*config.value_dirty)[out] = 0;
-        if (config.reuse_diags != nullptr) {
-          for (const util::Diagnostic& d : *config.reuse_diags) {
-            if (d.ctx.gate == static_cast<std::int64_t>(g)) {
-              sink_.report(d);
-            }
-          }
-        }
-        gates_reused_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      evaluate_gate(g, thread_id);
-      // Value cut-off: a recomputed net that lands exactly on the
-      // baseline (e.g. the changed input was not the controlling
-      // arc) does not dirty its consumers.
+    const netlist::Gate& gate = nl.gate(g);
+    const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+    if (!copy_if_unchanged(g, config, timing)) evaluate_gate(g, thread_id);
+    // Value cut-off: a net that lands exactly on the baseline (e.g. the
+    // changed input was not the controlling arc) does not dirty its
+    // consumers.
+    if (config.value_dirty != nullptr) {
       (*config.value_dirty)[out] =
           !net_timing_identical(timing[out], (*config.reuse_timing)[out]);
-      return;
     }
-    evaluate_gate(g, thread_id);
+    if (config.pass_dirty != nullptr) {
+      (*config.pass_dirty)[out] =
+          !net_timing_identical(timing[out], (*config.previous_timing)[out]);
+    }
   };
 
   status = PassStatus{};
@@ -902,6 +941,80 @@ bool StaEngine::gate_reusable(netlist::GateId gate_id,
       if ((*config.basis_dirty)[nb.neighbor]) return false;
     }
   }
+  return true;
+}
+
+bool StaEngine::same_as_previous_pass(
+    netlist::GateId gate_id, const PassConfig& config,
+    const std::vector<NetTiming>& timing) const {
+  const GateLog& log = (*config.gate_log)[gate_id];
+  if (!log.clean) return false;
+  const netlist::Netlist& nl = *design_.netlist;
+  const netlist::Gate& gate = nl.gate(gate_id);
+  for (std::uint32_t p = 0; p < gate.pin_nets.size(); ++p) {
+    if (!netlist::is_timed_input(*gate.cell, p)) continue;
+    if ((*config.pass_dirty)[gate.pin_nets[p]]) return false;
+  }
+  // Same fanins give the same best-case crossings, so the classifications
+  // are the only evaluation inputs that can have moved: the neighbours'
+  // quiet times (this pass's or the previous pass's) may differ.
+  const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+  const std::uint32_t level = design_.dag->gate_level[gate_id];
+  const double base = base_load(out);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Classification& c : log.classes) {
+    const delaycalc::OutputLoad load = classify_coupling(
+        out, c.out_rising, c.t_bcs, config, timing, level, base, inf);
+    if (!same_value(load.c_passive, c.c_passive) ||
+        !same_value(load.c_active, c.c_active)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool StaEngine::copy_if_unchanged(netlist::GateId g, const PassConfig& config,
+                                  std::vector<NetTiming>& timing) {
+  const netlist::Gate& gate = design_.netlist->gate(g);
+  const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+  const std::vector<NetTiming>* source = nullptr;
+  if (config.active_gates != nullptr && !(*config.active_gates)[g]) {
+    // Esperance: keep the previous pass's (conservative) result. A
+    // replayed pass has the baseline's mask (part of the pass signature),
+    // so the baseline made the same copy. Not a reuse: the inputs may
+    // have changed. The copy was computed from older fanins than this
+    // pass's, so the next pass cannot compare against it.
+    timing[out] = (*config.previous_timing)[out];
+    timing[out].calculated = true;
+    if (config.gate_log != nullptr) (*config.gate_log)[g].clean = false;
+    return true;
+  }
+  if (config.reuse_timing != nullptr && gate_reusable(g, config)) {
+    // Incremental reuse: every input of this gate's evaluation — fanin
+    // events, neighbour quiet times, quiet-time basis, early activity,
+    // levels, parasitics, the cell itself — is bitwise unchanged from the
+    // baseline pass, so the cached output *is* what process_gate would
+    // recompute. That includes its diagnostics: re-emit the baseline's
+    // entries so the incremental report matches a from-scratch run.
+    source = config.reuse_timing;
+    if (config.reuse_diags != nullptr) {
+      for (const util::Diagnostic& d : *config.reuse_diags) {
+        if (d.ctx.gate == static_cast<std::int64_t>(g)) sink_.report(d);
+      }
+    }
+    // This run has no classification log for the copy.
+    if (config.gate_log != nullptr) (*config.gate_log)[g].clean = false;
+  } else if (config.pass_dirty != nullptr &&
+             same_as_previous_pass(g, config, timing)) {
+    // Pass-to-pass reuse: a clean evaluation reported nothing to replay,
+    // and the log stays valid for the next pass.
+    source = config.previous_timing;
+  } else {
+    return false;
+  }
+  timing[out] = (*source)[out];
+  timing[out].calculated = true;
+  gates_reused_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -1159,8 +1272,19 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     // §5.2: delay := default (first one-step pass, unknown neighbours are
     // assumed coupling); then refine with stored quiescent times while the
     // delay improves.
+    //
+    // Pass-to-pass reuse: a refinement pass runs only after an improving
+    // pass, so the previous pass is always best_timing. A gate whose
+    // inputs come out bitwise as they were there copies its output
+    // (same_as_previous_pass). Not with a fault injector: it counts BE
+    // steps, so an evaluation there is not a pure function of its inputs.
+    const bool pass_reuse = options_.fault_injector == nullptr;
+    std::vector<GateLog> gate_log;
+    std::vector<char> pass_dirty;
+    if (pass_reuse) gate_log.resize(design_.netlist->num_gates());
     PassConfig first;
     first.pass_index = 0;
+    if (pass_reuse) first.gate_log = &gate_log;
     {
       const bool reusable = pass_reusable(0, -1, no_mask);
       configure_reuse(first, 0, reusable, -1);
@@ -1203,6 +1327,12 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
         PassConfig cfg;
         cfg.previous = &quiet;
         cfg.pass_index = result.passes;
+        cfg.previous_timing = &best_timing;
+        if (pass_reuse) {
+          pass_dirty.assign(num_nets, 0);
+          cfg.gate_log = &gate_log;
+          cfg.pass_dirty = &pass_dirty;
+        }
         std::vector<char> active;
         if (options_.esperance) {
           util::TraceSpan span(tbuf(0), "sta.esperance_mask");
@@ -1211,7 +1341,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
                                            options_.esperance_window);
           span.finish();
           cfg.active_gates = &active;
-          cfg.previous_timing = &best_timing;
         }
         const bool reusable = pass_reusable(k, basis, active);
         configure_reuse(cfg, k, reusable, basis);

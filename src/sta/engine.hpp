@@ -8,7 +8,11 @@
 // opposite-direction quiet time exceeds t_bcs — or which is not calculated
 // yet — keeps an active coupling cap, the rest are grounded with unchanged
 // value, and the worst-case waveform is computed and inserted into the
-// victim's event queue. Complexity stays linear in the graph size.
+// victim's event queue. Complexity stays linear in the graph size. Since
+// only its Vth crossing is read, the best-case solve on a coupled net stops
+// there (ArcDelayCalculator::starts); an iterative refinement pass copies a
+// gate's previous-pass output when its fanins and its classifications come
+// out bitwise as before (pass-to-pass reuse).
 //
 // The pass is parallel over gates: one thread-pool parallel-for per
 // topological level with a barrier in between ("TopoBarrier"). Coupling
@@ -172,7 +176,9 @@ struct StaOptions {
   /// Test-only deterministic fault injection hook (borrowed; null in
   /// production). Reset at the start of every run. Gate-scoped FaultSpecs
   /// fire deterministically at any thread count; a gate=-1 spec with
-  /// after > 0 is only deterministic single-threaded.
+  /// after > 0 is only deterministic single-threaded. The injector counts
+  /// BE steps, so a run with one solves every best-case run in full and
+  /// reuses nothing from pass to pass.
   util::FaultInjector* fault_injector = nullptr;
   /// Capacity of the diagnostic sink; reports beyond it are counted in
   /// StaResult::diagnostics.dropped instead of stored.
@@ -227,11 +233,13 @@ struct StaResult {
   double runtime_seconds = 0.0;
   int threads_used = 1;  ///< resolved worker count of the parallel pass
   /// Sinks encountered during propagation with no entry in the extracted
-  /// parasitics (treated as zero wire delay). Nonzero means the extraction
-  /// has gaps — investigate instead of trusting the bound.
+  /// parasitics (treated as zero wire delay), counted per gate evaluation
+  /// (a reused gate does no lookup). Nonzero means the extraction has gaps
+  /// — investigate instead of trusting the bound.
   std::size_t missing_sink_wires = 0;
-  /// Gate evaluations answered from a baseline RunTrace instead of being
-  /// recomputed (incremental runs only; summed over all passes).
+  /// Gate evaluations answered by a copy instead of being recomputed: from
+  /// a baseline RunTrace (incremental runs) or from the previous pass
+  /// (iterative refinement passes); summed over all passes.
   std::size_t gates_reused = 0;
   /// Everything the fault-tolerance pipeline recorded this run, in the
   /// deterministic diagnostic_order (empty on a clean run). Incremental
@@ -357,14 +365,42 @@ class StaEngine {
   }
 
  private:
+  /// One coupling classification of a gate evaluation: the victim edge,
+  /// the best-case crossing t_bcs it was made from and the load it chose.
+  struct Classification {
+    bool out_rising = true;
+    double t_bcs = 0.0;
+    double c_passive = 0.0;
+    double c_active = 0.0;
+  };
+
+  /// What a gate's latest evaluation in this run classified, for the
+  /// pass-to-pass reuse test (same_as_previous_pass). `clean`: the
+  /// evaluation completed without a degraded arc, so it reported no
+  /// diagnostic that a copy would have to replay.
+  struct GateLog {
+    bool clean = false;
+    std::vector<Classification> classes;
+  };
+
   struct PassConfig {
     /// Quiet times from the previous pass; null on the first pass (then
     /// uncalculated neighbours are assumed coupling, §5.1).
     const QuietTimes* previous = nullptr;
     /// Esperance restriction; null = recalculate everything.
     const std::vector<char>* active_gates = nullptr;
-    /// Timing from the previous pass (for gates skipped by Esperance).
+    /// Timing of the previous pass (for gates skipped by Esperance and for
+    /// pass-to-pass reuse); null on the first pass.
     const std::vector<NetTiming>* previous_timing = nullptr;
+    /// Per-gate classification log of the run (iterative runs without a
+    /// fault injector): each evaluation rewrites its gate's entry. Null =
+    /// no pass-to-pass reuse.
+    std::vector<GateLog>* gate_log = nullptr;
+    /// Written by the pass when gate_log and previous_timing are set: per
+    /// net, 1 iff its timing differs (bitwise) from previous_timing. Gates
+    /// of level L write only their own output; levels >L read it after the
+    /// barrier.
+    std::vector<char>* pass_dirty = nullptr;
     /// Incremental reuse: when non-null, a gate whose evaluation inputs
     /// are all unchanged vs. this baseline pass (gate_reusable) copies its
     /// output from here instead of being recomputed. Null = no reuse.
@@ -391,6 +427,8 @@ class StaEngine {
   struct DelayScratch {
     delaycalc::ArcScratch arc;
     delaycalc::NldmScratch nldm;
+    /// The gate in flight on this thread computed a degraded arc.
+    bool saw_degraded = false;
   };
 
   /// Where a pass stopped: complete, or truncated at a level boundary by
@@ -422,6 +460,23 @@ class StaEngine {
   /// reads (lower-level neighbours through this pass's timing, the rest
   /// through the basis pass's stored quiet times).
   bool gate_reusable(netlist::GateId gate, const PassConfig& config) const;
+
+  /// Pass-to-pass reuse decision (iterative pass k >= 1): true iff the
+  /// gate's latest evaluation was clean, every fanin is bitwise what the
+  /// previous pass had, and every logged classification, re-run from its
+  /// stored t_bcs against this pass's neighbour state, picks bitwise the
+  /// stored load. The evaluation would then repeat the previous pass's.
+  bool same_as_previous_pass(netlist::GateId gate, const PassConfig& config,
+                             const std::vector<NetTiming>& timing) const;
+
+  /// The one copy path in front of process_gate: a gate outside the
+  /// Esperance mask keeps its previous-pass output; otherwise the output is
+  /// copied when the inputs are unchanged, from the incremental baseline
+  /// pass (gate_reusable, replaying its diagnostics) or else from the
+  /// previous pass (same_as_previous_pass). Returns false, copying
+  /// nothing, when the gate must be evaluated.
+  bool copy_if_unchanged(netlist::GateId gate, const PassConfig& config,
+                         std::vector<NetTiming>& timing);
 
   /// Evaluate every arc of `gate` and merge results into the output net's
   /// events. Thread-safe against other gates of the same pass: coupling
@@ -459,10 +514,26 @@ class StaEngine {
   /// Dispatch to the configured delay engine. Under kDegrade a
   /// util::DiagError from the solver is caught here and a conservative
   /// bound substituted (bound_arc); under kStrict it propagates.
+  /// `new_calc` = false completes a calc compute_starts already counted.
   std::vector<delaycalc::ArcResult> compute_arc(
       const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
       const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
+      std::size_t thread_id, const util::DiagHandle& diag,
+      bool new_calc = true);
+
+  /// compute_arc's threshold crossings only (ArcDelayCalculator::starts),
+  /// for the transistor-level engine: one waveform calc, stopped once the
+  /// crossings are final. Faults are handled as in compute_arc.
+  std::vector<delaycalc::ArcStart> compute_starts(
+      const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
+      const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
       std::size_t thread_id, const util::DiagHandle& diag);
+
+  /// Add one stage-path evaluation's solver counters to the metrics, and
+  /// flag a degraded one on the thread's gate in flight.
+  void record_solver_work(std::size_t thread_id, std::uint64_t be_steps,
+                          std::uint64_t newton_iters,
+                          std::uint64_t fallback_steps, bool degraded);
 
   /// Conservative upper-bound arc results when the transistor-level solver
   /// is unrecoverable: the characterized NLDM delay/slew doubled (plus the

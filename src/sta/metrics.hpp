@@ -22,6 +22,7 @@ namespace xtalk::sta {
 /// Hot-path counters bumped from worker threads via per-thread shards.
 enum class EngineCounter : std::size_t {
   kBeSteps,                    ///< backward-Euler steps across stage solves
+                               ///< (a stopped best-case solve: up to its stop)
   kNewtonIterations,           ///< Newton iterations inside those steps
   kFallbackBeSteps,            ///< BE steps that needed the fallback chain
   kDegradedArcs,               ///< arc evaluations with a degraded waveform
@@ -87,7 +88,10 @@ struct MetricsSnapshot {
   int threads = 1;
 
   // Mirrors of the engine's relaxed atomics, for a self-contained snapshot.
+  // A best-case solve stopped at its threshold crossing counts as one calc,
+  // and completing it (all neighbours grounded) does not count again.
   std::uint64_t waveform_calcs = 0;
+  /// Copies from the incremental baseline or the previous iterative pass.
   std::uint64_t gates_reused = 0;
   std::uint64_t governor_checkpoints = 0;
 

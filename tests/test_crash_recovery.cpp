@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,13 @@ struct KillPointCase {
   bool needs_full_run;  ///< the crossing needs a baseline-cached query
   const char* name;
 };
+
+// Without this, gtest prints the raw bytes of the struct, `name` pointer
+// included, and gtest_discover_tests puts them in the test name: the name
+// would change with the load address on every discovery run.
+void PrintTo(const KillPointCase& kp, std::ostream* os) {
+  *os << kp.name << " countdown=" << kp.countdown;
+}
 
 class CrashKillPoints : public CrashRecoveryTest,
                         public ::testing::WithParamInterface<KillPointCase> {};

@@ -512,7 +512,9 @@ TEST(Service, TruncateDrainYieldsConservativeResults) {
   ASSERT_TRUE(m.decode(r));
   // Depending on timing the run either finished or was soft-cancelled; a
   // cancelled run must still be a conservative anytime result.
-  if (m.budget_exhausted) EXPECT_TRUE(m.conservative);
+  if (m.budget_exhausted) {
+    EXPECT_TRUE(m.conservative);
+  }
   fx.server.join();
 }
 
